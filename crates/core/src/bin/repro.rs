@@ -23,8 +23,7 @@
 //!                            # time every experiment through the shared
 //!                            # sweep engine; write/validate BENCH JSON;
 //!                            # --cache-dir persists estimates across runs
-//! repro serve [--addr A] [--queue-cap N] [--batch-max N]
-//!             [--batch-window-us U] [--port-file <path>]
+//! repro serve [--addr A] [--queue-cap N] [--batch-max N] [--port-file <path>]
 //!             [--slo-ms MS] [--metrics-file <path>] [--scrape-every-ms MS]
 //!             [--reactor] [--max-conns N] [--idle-timeout-ms MS]
 //!             [--max-outbox-kb N] [--max-fuel N]
@@ -123,7 +122,7 @@ validates one (exit 1 invalid, exit 2 unknown\n                          \
 schema version, quick-mode artefact, or unreadable\n                          \
 file)\n  \
   serve [--addr <ip:port>] [--queue-cap N] [--batch-max N]\n        \
-[--batch-window-us U] [--port-file <path>]\n        \
+[--port-file <path>]\n        \
 [--slo-ms MS] [--metrics-file <path>] [--scrape-every-ms MS]\n          \
 [--reactor] [--max-conns N] [--idle-timeout-ms MS] [--max-outbox-kb N]\n          \
 [--max-fuel N]\n                          \
@@ -971,7 +970,7 @@ fn serve(args: &[String]) -> ! {
     use rvhpc_trace::json::Json;
 
     const SERVE_USAGE: &str = "usage: repro serve [--addr <ip:port>] [--queue-cap N] \
-                               [--batch-max N] [--batch-window-us U] [--port-file <path>] \
+                               [--batch-max N] [--port-file <path>] \
                                [--slo-ms MS] [--metrics-file <path>] [--scrape-every-ms MS] \
                                [--reactor] [--max-conns N] [--idle-timeout-ms MS] \
                                [--max-outbox-kb N] [--max-fuel N]";
@@ -998,10 +997,6 @@ fn serve(args: &[String]) -> ! {
             "--addr" => config.addr = value("--addr"),
             "--queue-cap" => config.queue_capacity = parse_pos("--queue-cap", value("--queue-cap")),
             "--batch-max" => config.batch_max = parse_pos("--batch-max", value("--batch-max")),
-            "--batch-window-us" => {
-                let us = parse_pos("--batch-window-us", value("--batch-window-us"));
-                config.batch_window = std::time::Duration::from_micros(us as u64);
-            }
             "--port-file" => port_file = Some(value("--port-file")),
             "--slo-ms" => {
                 let v = value("--slo-ms");
@@ -1050,8 +1045,7 @@ fn serve(args: &[String]) -> ! {
 
     rvhpc_serve::signal::install_sigterm_hook();
     let (slo_ms, scrape_every) = (config.slo_ms, config.scrape_every);
-    let (queue_cap, batch_max, batch_window) =
-        (config.queue_capacity, config.batch_max, config.batch_window);
+    let (queue_cap, batch_max) = (config.queue_capacity, config.batch_max);
     let (reactor, max_conns) = (config.reactor, config.max_conns);
     let max_fuel = config.max_fuel;
     let metrics_file = config.metrics_file.clone();
@@ -1068,7 +1062,6 @@ fn serve(args: &[String]) -> ! {
         ("port", Json::Num(addr.port() as f64)),
         ("queue_cap", Json::Num(queue_cap as f64)),
         ("batch_max", Json::Num(batch_max as f64)),
-        ("batch_window_us", Json::Num(batch_window.as_micros() as f64)),
         ("slo_ms", Json::Num(slo_ms)),
         ("metrics_file", metrics_file.as_deref().map_or(Json::Null, Json::str)),
         ("scrape_every_ms", Json::Num(scrape_every.as_millis() as f64)),

@@ -48,7 +48,6 @@ fn help_documents_serving_flags_and_exit_codes() {
         "--addr",
         "--queue-cap",
         "--batch-max",
-        "--batch-window-us",
         "--port-file",
         "--slo-ms",
         "--metrics-file",

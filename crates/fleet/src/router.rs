@@ -32,7 +32,7 @@ use rvhpc_serve::{ErrorKind, Request};
 use rvhpc_trace::json::Json;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -120,11 +120,27 @@ struct RouterShared {
     ring: ConsistentRing,
     state: Arc<FleetState>,
     config: RouterConfig,
+    local_addr: SocketAddr,
     draining: AtomicBool,
     jitter: AtomicU64,
 }
 
 impl RouterShared {
+    /// Start the drain. The listener blocks in `accept`, so a throwaway
+    /// connection to the router's own port wakes it to see the flag.
+    fn begin_drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+    }
+
     /// Next jitter value in `0..=bound` from the deterministic LCG.
     fn jitter_ms(&self, bound: u64) -> u64 {
         let next = self
@@ -459,7 +475,7 @@ fn serve_client(shared: &Arc<RouterShared>, stream: TcpStream) {
                         }
                         Request::Shutdown => {
                             let _ = fan_out(shared, &mut pool, &line);
-                            shared.draining.store(true, Ordering::Relaxed);
+                            shared.begin_drain();
                             rvhpc_trace::counter!("fleet.shutdowns", 1);
                             let reply = ok_response(
                                 &id,
@@ -522,33 +538,30 @@ impl Router {
     pub fn start(config: RouterConfig, shard_addrs: Vec<String>) -> std::io::Result<Router> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let state = Arc::new(FleetState::new(shard_addrs, config.cooldown));
         let shared = Arc::new(RouterShared {
             ring: ConsistentRing::new(state.len()),
             state,
             jitter: AtomicU64::new(config.seed | 1),
             config,
+            local_addr,
             draining: AtomicBool::new(false),
         });
         let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let listener_handle = {
             let shared = Arc::clone(&shared);
             let conn_handles = Arc::clone(&conn_handles);
-            std::thread::spawn(move || loop {
-                if shared.draining.load(Ordering::Relaxed) {
-                    return;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let shared = Arc::clone(&shared);
-                        let handle = std::thread::spawn(move || serve_client(&shared, stream));
-                        conn_handles.lock().unwrap().push(handle);
+            // A blocking accept serves a new client at once instead of on
+            // the next poll tick; `begin_drain` wakes it.
+            std::thread::spawn(move || {
+                for stream in listener.incoming() {
+                    if shared.draining.load(Ordering::SeqCst) {
+                        return;
                     }
-                    Err(e) if e.kind() == IoErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => return,
+                    let Ok(stream) = stream else { return };
+                    let shared = Arc::clone(&shared);
+                    let handle = std::thread::spawn(move || serve_client(&shared, stream));
+                    conn_handles.lock().unwrap().push(handle);
                 }
             })
         };
@@ -587,7 +600,7 @@ impl Router {
 
     /// Begin a drain without a client `shutdown` (the SIGTERM path).
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::Relaxed);
+        self.shared.begin_drain();
     }
 
     /// Wait for the listener, prober and all connection threads to exit.

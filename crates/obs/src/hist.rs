@@ -4,7 +4,9 @@
 //! in per-shard `AtomicU64` count arrays so concurrent recorders touch
 //! disjoint cache lines most of the time: a recording thread picks its
 //! shard from [`rvhpc_trace::thread_ordinal`] and does two relaxed
-//! fetch-adds plus a fetch-max — no locks, no allocation.
+//! fetch-adds plus a fetch-max — no locks. A shard allocates its bucket
+//! array on its first sample, so only the shards of threads that actually
+//! record cost memory.
 //!
 //! Reads *merge* the shards into a [`HistSnapshot`]. Because every
 //! aggregate is either an integer (bucket counts, sample count,
@@ -16,13 +18,14 @@
 use rvhpc_trace::hist::{quantile_from_counts, N_BUCKETS};
 use rvhpc_trace::thread_ordinal;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Shards per histogram. Recording threads hash onto these by thread
 /// ordinal; more shards trade memory for less false sharing.
 pub const N_SHARDS: usize = 8;
 
 struct Shard {
-    counts: Vec<AtomicU64>,
+    counts: OnceLock<Box<[AtomicU64]>>,
     count: AtomicU64,
     sum_ns: AtomicU64,
     /// Bit pattern of the largest sample. Samples are non-negative, so
@@ -34,7 +37,7 @@ struct Shard {
 impl Shard {
     fn new() -> Shard {
         Shard {
-            counts: (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            counts: OnceLock::new(),
             count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
             max_bits: AtomicU64::new(0),
@@ -64,7 +67,9 @@ impl ShardedHist {
     /// counted in the underflow bucket and contribute zero to the sum.
     pub fn record_us(&self, v: f64) {
         let shard = &self.shards[(thread_ordinal() as usize) % N_SHARDS];
-        shard.counts[rvhpc_trace::hist::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        let counts =
+            shard.counts.get_or_init(|| (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect());
+        counts[rvhpc_trace::hist::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         shard.count.fetch_add(1, Ordering::Relaxed);
         // Sum in integer nanoseconds so merged sums are deterministic
         // (integer addition commutes; f64 addition does not).
@@ -78,7 +83,8 @@ impl ShardedHist {
     pub fn snapshot(&self) -> HistSnapshot {
         let mut out = HistSnapshot::empty();
         for shard in &self.shards {
-            for (acc, c) in out.counts.iter_mut().zip(&shard.counts) {
+            let Some(counts) = shard.counts.get() else { continue };
+            for (acc, c) in out.counts.iter_mut().zip(counts.iter()) {
                 *acc += c.load(Ordering::Relaxed);
             }
             out.count += shard.count.load(Ordering::Relaxed);
@@ -160,6 +166,18 @@ mod tests {
         for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
             assert_eq!(s.quantile_us(q), 0.0);
         }
+    }
+
+    #[test]
+    fn only_recording_shards_allocate_bucket_arrays() {
+        let h = ShardedHist::new();
+        let allocated =
+            |h: &ShardedHist| h.shards.iter().filter(|s| s.counts.get().is_some()).count();
+        assert_eq!(allocated(&h), 0);
+        h.record_us(1.0);
+        h.record_us(2.0);
+        assert_eq!(allocated(&h), 1, "one recording thread, one shard");
+        assert_eq!(h.snapshot().count, 2);
     }
 
     #[test]

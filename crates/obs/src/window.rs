@@ -7,6 +7,13 @@
 //! [`HistSnapshot`], which yields both a rate (`count / window`) and the
 //! same deterministic quantile machinery the cumulative histograms use.
 //!
+//! A slot's bucket array (`N_BUCKETS` counters, ~2.5 kB) is allocated on
+//! the first sample recorded in that slot's second, so an idle or bursty
+//! stage costs only the seconds it actually saw traffic. A stage with
+//! traffic in every second for [`SLOTS`] seconds ends up with every array
+//! allocated: the lazy allocation lowers the idle and short-lived
+//! footprint, not the steady-state ceiling.
+//!
 //! The ring is guarded by a single mutex. The critical section is a few
 //! array writes (~100ns), which is "lock-light" at the request rates the
 //! serving layer sustains; the cumulative [`crate::hist::ShardedHist`]
@@ -27,6 +34,7 @@ const EMPTY: u64 = u64::MAX;
 
 struct Slot {
     stamp_s: u64,
+    /// Empty until the slot first records a sample.
     counts: Vec<u32>,
     count: u64,
     sum_ns: u64,
@@ -35,12 +43,13 @@ struct Slot {
 
 impl Slot {
     fn new() -> Slot {
-        Slot { stamp_s: EMPTY, counts: vec![0; N_BUCKETS], count: 0, sum_ns: 0, max_bits: 0 }
+        Slot { stamp_s: EMPTY, counts: Vec::new(), count: 0, sum_ns: 0, max_bits: 0 }
     }
 
     fn reset(&mut self, stamp_s: u64) {
         self.stamp_s = stamp_s;
-        self.counts.iter_mut().for_each(|c| *c = 0);
+        self.counts.clear();
+        self.counts.resize(N_BUCKETS, 0);
         self.count = 0;
         self.sum_ns = 0;
         self.max_bits = 0;
@@ -136,6 +145,20 @@ mod tests {
         let merged = ring.merge_at(3 + SLOTS as u64, 1);
         assert_eq!(merged.count, 1);
         assert_eq!(merged.max_us(), 70.0);
+    }
+
+    #[test]
+    fn bucket_arrays_are_allocated_once_per_recorded_second() {
+        let ring = WindowRing::new();
+        let allocated = |ring: &WindowRing| {
+            ring.slots.lock().unwrap().iter().filter(|s| !s.counts.is_empty()).count()
+        };
+        assert_eq!(allocated(&ring), 0, "a fresh ring holds no bucket arrays");
+        for (s, v) in [(5u64, 1.0), (5, 2.0), (6, 3.0), (9, 4.0), (9, 5.0), (9, 6.0)] {
+            ring.record_at(s, v);
+        }
+        assert_eq!(allocated(&ring), 3, "one array per distinct recorded second");
+        assert_eq!(ring.merge_at(9, 10).count, 6);
     }
 
     #[test]

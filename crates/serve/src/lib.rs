@@ -13,9 +13,9 @@
 //!   is full the server answers immediately with an `overloaded` error and
 //!   a `retry_after_ms` hint instead of queueing unboundedly or dropping
 //!   the connection (the 429 pattern).
-//! * **Batching** — a dedicated batcher thread coalesces estimate requests
-//!   that arrive within a small window, deduplicates identical queries, and
-//!   fans the unique ones out through the process-wide
+//! * **Batching** — a dedicated, work-conserving batcher thread takes every
+//!   estimate request already queued (never waiting for more), deduplicates
+//!   identical queries, and fans the unique ones out through the process-wide
 //!   [`rvhpc_threads::global_team`] work-stealing pool onto
 //!   [`rvhpc_perfmodel::estimate_cached`], so concurrent clients share both
 //!   the thread pool and the cross-sweep estimate cache.

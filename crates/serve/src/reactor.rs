@@ -252,7 +252,7 @@ fn accept_new(
                 &Json::Null,
                 ErrorKind::Overloaded,
                 "connection limit reached",
-                Some(shared.retry_after_ms()),
+                Some(crate::server::retry_after_ms(&shared.config)),
             );
             let _ = stream.write_all(reply.as_bytes()).and_then(|()| stream.write_all(b"\n"));
             continue;

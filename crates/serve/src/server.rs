@@ -9,7 +9,7 @@
 //!                        └─ estimate/sleep ──try_send──▶ bounded queue
 //!                                                          │
 //!                                    batcher ◀─────────────┘
-//!                                    coalesce ≤ batch_max within window,
+//!                                    take ≤ batch_max already queued,
 //!                                    dedupe, fan out via global_team
 //!                                    work-stealing onto estimate_cached,
 //!                                    write each reply to its connection
@@ -51,11 +51,8 @@ pub struct ServeConfig {
     /// Admission-queue bound: estimate/sleep requests beyond this many
     /// in flight are answered `overloaded` instead of queued.
     pub queue_capacity: usize,
-    /// Largest batch the coalescer assembles.
+    /// Largest batch the coalescer takes off the queue at once.
     pub batch_max: usize,
-    /// How long the batcher waits for companions after the first request
-    /// of a batch arrives.
-    pub batch_window: Duration,
     /// End-to-end latency SLO in milliseconds: requests slower than this
     /// are tail-sampled into the `slow_requests` ring with a per-stage
     /// breakdown. `0.0` disables capture (requests are still counted).
@@ -98,7 +95,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             queue_capacity: 256,
             batch_max: 64,
-            batch_window: Duration::from_micros(500),
             slo_ms: 100.0,
             metrics_file: None,
             scrape_every: Duration::from_secs(1),
@@ -109,6 +105,12 @@ impl Default for ServeConfig {
             max_fuel: crate::submit::DEFAULT_MAX_FUEL,
         }
     }
+}
+
+/// The `Retry-After` hint attached to `overloaded` replies: about a
+/// millisecond per full batch the batcher must work through.
+pub(crate) fn retry_after_ms(config: &ServeConfig) -> u64 {
+    (config.queue_capacity.div_ceil(config.batch_max) as u64).clamp(1, 1_000)
 }
 
 /// Always-on serving counters (the `stats` op's source; mirrored to
@@ -281,7 +283,7 @@ impl ConnWriter {
 /// A queued unit of batched work. The three instants split the request's
 /// life into the observability stages: `received → admitted` is
 /// admission, `admitted → popped` is queue wait, `popped → batch
-/// execution` is the batch window.
+/// execution` is batch assembly (the `batch_window` stage).
 struct WorkItem {
     id: Json,
     writer: Arc<ConnWriter>,
@@ -449,14 +451,6 @@ impl Shared {
 
     pub(crate) fn batcher_done(&self) -> bool {
         self.batcher_done.load(Ordering::SeqCst)
-    }
-
-    /// The `Retry-After` hint attached to `overloaded` replies: roughly
-    /// how long it takes the batcher to work through a full queue.
-    pub(crate) fn retry_after_ms(&self) -> u64 {
-        let window_ms = self.config.batch_window.as_millis() as u64;
-        let batches_queued = self.config.queue_capacity.div_ceil(self.config.batch_max) as u64;
-        (window_ms.max(1) * batches_queued).clamp(1, 1_000)
     }
 }
 
@@ -976,7 +970,7 @@ fn admit(
                 &item.id,
                 ErrorKind::Overloaded,
                 "admission queue full",
-                Some(shared.retry_after_ms()),
+                Some(retry_after_ms(&shared.config)),
             ));
         }
         Err(TrySendError::Disconnected(item)) => {
@@ -1016,9 +1010,15 @@ fn run_suite_slice(m: MachineId, cfg: &RunConfig, class: Option<KernelClass>) ->
 }
 
 fn batcher_loop(shared: &Arc<Shared>, queue_rx: &Receiver<WorkItem>) {
+    let pop = |mut item: WorkItem| {
+        item.popped = Instant::now();
+        let depth = shared.stats.queue_depth.fetch_sub(1, Ordering::SeqCst) - 1;
+        rvhpc_obs::gauge_set("serve.queue_depth", depth as i64);
+        item
+    };
     loop {
-        let mut first = match queue_rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(item) => item,
+        let first = match queue_rx.recv_timeout(Duration::from_millis(25)) {
+            Ok(item) => pop(item),
             Err(RecvTimeoutError::Timeout) => {
                 // A timeout with the drain flag set means the queue is
                 // empty and no reader will admit more: drain complete.
@@ -1029,26 +1029,9 @@ fn batcher_loop(shared: &Arc<Shared>, queue_rx: &Receiver<WorkItem>) {
             }
             Err(RecvTimeoutError::Disconnected) => break,
         };
-        first.popped = Instant::now();
-        let depth = shared.stats.queue_depth.fetch_sub(1, Ordering::SeqCst) - 1;
-        rvhpc_obs::gauge_set("serve.queue_depth", depth as i64);
+        // Never wait for companions: a lone request would wait with them.
         let mut batch = vec![first];
-        let window_end = Instant::now() + shared.config.batch_window;
-        while batch.len() < shared.config.batch_max {
-            let now = Instant::now();
-            if now >= window_end {
-                break;
-            }
-            match queue_rx.recv_timeout(window_end - now) {
-                Ok(mut item) => {
-                    item.popped = Instant::now();
-                    let depth = shared.stats.queue_depth.fetch_sub(1, Ordering::SeqCst) - 1;
-                    rvhpc_obs::gauge_set("serve.queue_depth", depth as i64);
-                    batch.push(item);
-                }
-                Err(_) => break,
-            }
-        }
+        batch.extend(queue_rx.try_iter().take(shared.config.batch_max - 1).map(pop));
         rvhpc_obs::gauge_set("serve.inflight_batches", 1);
         process_batch(shared, batch);
         rvhpc_obs::gauge_set("serve.inflight_batches", 0);
@@ -1067,7 +1050,7 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
     // Partition: expired deadlines are cancelled unexecuted; sleeps run
     // inline on the batcher (they exist to simulate a slow model and make
     // backpressure observable); estimates are deduped and fanned out.
-    // `exec_start` closes the batch-window stage for every item.
+    // `exec_start` closes the batch-assembly stage for every item.
     let mut estimates: Vec<(EstKey, WorkItem)> = Vec::new();
     let exec_start = Instant::now();
     let now = exec_start;
@@ -1208,4 +1191,19 @@ fn record_batched(
         ],
         detail,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{retry_after_ms, ServeConfig};
+
+    #[test]
+    fn retry_after_is_one_ms_per_queued_batch_clamped() {
+        let hint = |queue_capacity, batch_max| {
+            retry_after_ms(&ServeConfig { queue_capacity, batch_max, ..ServeConfig::default() })
+        };
+        assert_eq!(retry_after_ms(&ServeConfig::default()), 4, "256 / 64, as before");
+        assert_eq!(hint(65, 64), 2);
+        assert_eq!(hint(1 << 20, 1), 1_000);
+    }
 }

@@ -106,12 +106,7 @@ fn overload_rejects_with_backpressure_and_never_drops() {
     // A deliberately tiny server: one queue slot, one-item batches. A slow
     // `sleep` occupies the batcher while a burst arrives, so most of the
     // burst must be rejected — but every single request still gets a reply.
-    let server = start(ServeConfig {
-        queue_capacity: 1,
-        batch_max: 1,
-        batch_window: Duration::from_micros(100),
-        ..ServeConfig::default()
-    });
+    let server = start(ServeConfig { queue_capacity: 1, batch_max: 1, ..ServeConfig::default() });
     let (mut stream, mut reader) = connect(&server);
 
     send(&mut stream, r#"{"id":"plug","op":"sleep","ms":300}"#);

@@ -270,12 +270,7 @@ fn plugged_queue_error_taxonomy_is_identical_across_modes() {
     // batcher: the admission outcome of every follow-up request is then
     // fully deterministic, so the overload / deadline-0 taxonomy can be
     // compared reply-for-reply across modes (not just statistically).
-    let tiny = ServeConfig {
-        queue_capacity: 1,
-        batch_max: 1,
-        batch_window: Duration::from_micros(100),
-        ..ServeConfig::default()
-    };
+    let tiny = ServeConfig { queue_capacity: 1, batch_max: 1, ..ServeConfig::default() };
     let (threaded, reactor) = start_pair(tiny);
     let mut t = Conn::open(&threaded);
     let mut r = Conn::open(&reactor);

@@ -26,7 +26,6 @@ fn sigterm_drains_the_reactor_answering_all_admitted_work() {
         reactor: true,
         queue_capacity: 32,
         batch_max: 1,
-        batch_window: Duration::from_micros(100),
         ..ServeConfig::default()
     })
     .expect("reactor server binds");
