@@ -87,6 +87,14 @@ awk "BEGIN { exit !($RATE2 >= 0.99) }"
 awk "BEGIN { exit !($WALL2 < $WALL1) }"
 rm -rf "$EST_DIR" "$WARM1" "$WARM2"
 
+# The repository benchmark's own checks: its unit tests, then a short
+# cold-sweep smoke whose result line must report every pass correct (the
+# byte-identity and serial-estimate gates run on each pass).
+cargo test --release --offline --manifest-path rvbench/Cargo.toml
+SWEEP_LAST="$(cargo run --release --offline --quiet --manifest-path rvbench/Cargo.toml -- \
+    --workload sweep_cold --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+echo "$SWEEP_LAST" | grep -Eq '"correct":true,"attempted":[1-9][0-9]*,"failed":0,'
+
 # Serving smoke: start the server on an ephemeral port, drive it with a
 # seeded loadgen (which exits non-zero on any protocol error, dropped
 # reply, failed bit-identity check, or malformed-request mishandling),

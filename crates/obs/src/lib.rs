@@ -154,13 +154,18 @@ mod tests {
 
     #[test]
     fn stage_and_gauge_registries_are_stable_and_sorted() {
-        let a = stage("test.lib.alpha");
-        let b = stage("test.lib.alpha");
+        // A prefix no other test registers: the registry is process-wide
+        // and the tests of this binary run concurrently.
+        let a = stage("test.lib.registry.alpha");
+        let b = stage("test.lib.registry.alpha");
         assert!(std::ptr::eq(a, b), "same name → same stage");
-        stage("test.lib.beta");
-        let names: Vec<&str> =
-            stages().into_iter().map(|(n, _)| n).filter(|n| n.starts_with("test.lib.")).collect();
-        assert_eq!(names, vec!["test.lib.alpha", "test.lib.beta"]);
+        stage("test.lib.registry.beta");
+        let names: Vec<&str> = stages()
+            .into_iter()
+            .map(|(n, _)| n)
+            .filter(|n| n.starts_with("test.lib.registry."))
+            .collect();
+        assert_eq!(names, vec!["test.lib.registry.alpha", "test.lib.registry.beta"]);
 
         gauge_set("test.lib.gauge", 41);
         gauge_set("test.lib.gauge", 7);

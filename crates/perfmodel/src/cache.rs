@@ -228,6 +228,28 @@ pub fn clear() {
     c.order.clear();
 }
 
+/// Insert a freshly obtained estimate into the resident map, with the
+/// eviction count, its trace counter and the entries gauge kept in step.
+fn insert_resident(key: Key, est: TimeEstimate) {
+    let (evicted, resident) = {
+        let mut c = locked();
+        let evicted = c.insert(capacity(), key, est);
+        (evicted, c.map.len())
+    };
+    if evicted > 0 {
+        EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
+        rvhpc_trace::counter!("perfmodel.estimate_cache.eviction", evicted);
+    }
+    rvhpc_obs::gauge_set("perfmodel.estimate_cache.entries", resident as i64);
+}
+
+/// The persistent store's content key for one lookup: the full descriptor,
+/// the kernel and the canonical configuration (see [`persist`]).
+pub(crate) fn disk_key(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -> u64 {
+    let canonical = CanonicalConfig::new(machine, cfg);
+    persist::key_hash(&format!("{machine:?}"), kernel.label(), &format!("{canonical:?}"))
+}
+
 /// [`estimate_averaged`] through the process-wide cross-sweep cache.
 ///
 /// Deterministic and bit-identical to the uncached call; see the module
@@ -241,18 +263,14 @@ pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -
     }
     // Persistent layer: a disk warm-start is a hit (it serves the exact
     // bits a miss would recompute) and also populates the in-memory map so
-    // later lookups never touch the store lock twice.
-    let disk_key =
-        persist::key_hash(&format!("{machine:?}"), kernel.label(), &format!("{:?}", key.cfg));
-    if let Some(est) = persist::lookup(disk_key) {
+    // later lookups never touch the store lock twice. With the store off
+    // (the default) no disk key is derived and the store lock is not taken.
+    let disk_key = persist::enabled().then(|| disk_key(machine, kernel, cfg));
+    if let Some(est) = disk_key.and_then(persist::lookup) {
         HITS.fetch_add(1, Ordering::Relaxed);
         rvhpc_trace::counter!("perfmodel.estimate_cache.hit", 1);
         rvhpc_trace::counter!("perfmodel.estimate_cache.disk_hit", 1);
-        let mut c = locked();
-        let evicted = c.insert(capacity(), key, est);
-        if evicted > 0 {
-            EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
-        }
+        insert_resident(key, est);
         return est;
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
@@ -260,17 +278,10 @@ pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -
     // Compute outside the lock: estimation is pure, so a racing duplicate
     // computation is wasted work at worst, never a wrong answer.
     let est = estimate_averaged(machine, kernel, cfg);
-    persist::record(disk_key, est);
-    let (evicted, resident) = {
-        let mut c = locked();
-        let evicted = c.insert(capacity(), key, est);
-        (evicted, c.map.len())
-    };
-    if evicted > 0 {
-        EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
-        rvhpc_trace::counter!("perfmodel.estimate_cache.eviction", evicted);
+    if let Some(disk_key) = disk_key {
+        persist::record(disk_key, est);
     }
-    rvhpc_obs::gauge_set("perfmodel.estimate_cache.entries", resident as i64);
+    insert_resident(key, est);
     est
 }
 
@@ -514,10 +525,16 @@ mod tests {
         clear();
         persist::set_cache_dir(Some(dir.clone()));
         assert_eq!(persist::loaded_entries(), 1, "flush persisted the entry");
+        // A sentinel the warm lookup must overwrite: a stale gauge keeps it.
+        let entries = rvhpc_obs::gauge("perfmodel.estimate_cache.entries");
+        entries.store(-1, Ordering::Relaxed);
         let before = stats();
         let warm = estimate_cached(&m, KernelName::STREAM_TRIAD, &cfg);
         let delta = stats().since(&before);
         assert_eq!((delta.hits, delta.misses), (1, 0), "{delta:?}");
+        if rvhpc_obs::enabled() {
+            assert_eq!(entries.load(Ordering::Relaxed), len() as i64, "gauge after warm start");
+        }
         assert_eq!(cold.seconds.to_bits(), warm.seconds.to_bits());
         assert_eq!(cold.compute_seconds.to_bits(), warm.compute_seconds.to_bits());
         assert_eq!(cold.memory_seconds.to_bits(), warm.memory_seconds.to_bits());
@@ -534,6 +551,18 @@ mod tests {
         assert_eq!(stats().since(&before).misses, 1);
 
         persist::set_cache_dir(None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn persist_enabled_follows_the_store() {
+        let _l = isolated();
+        assert!(!persist::enabled(), "disabled by set_cache_dir(None)");
+        let dir = std::env::temp_dir().join(format!("rvhpc-enabled-test-{}", std::process::id()));
+        persist::set_cache_dir(Some(dir.clone()));
+        assert!(persist::enabled());
+        persist::set_cache_dir(None);
+        assert!(!persist::enabled());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

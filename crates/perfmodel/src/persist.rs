@@ -39,6 +39,7 @@
 use crate::estimate::TimeEstimate;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// First line of a valid store file.
@@ -71,12 +72,21 @@ pub(crate) fn key_hash(machine_debug: &str, kernel: &str, canonical_cfg_debug: &
     fnv64(text.as_bytes())
 }
 
+/// Whether the store has a directory: a lock-free mirror of `Store::dir`,
+/// written only by [`reload`].
+static ENABLED: AtomicBool = AtomicBool::new(false);
+
+/// Set once the directory is settled: `RVHPC_CACHE_DIR` consulted or an
+/// explicit [`set_cache_dir`] made. Until then [`ENABLED`] may be stale.
+/// Stored with `Release` after [`ENABLED`] and loaded with `Acquire` in
+/// [`enabled`], so a settled flag shows the `ENABLED` value before it.
+static ENV_CHECKED: AtomicBool = AtomicBool::new(false);
+
 #[derive(Default)]
 struct Store {
-    /// Explicit directory (CLI) takes precedence; `None` + `env_checked`
-    /// false means the environment has not been consulted yet.
+    /// Explicit directory (CLI) takes precedence; `None` with
+    /// [`ENV_CHECKED`] unset means the environment has not been consulted.
     dir: Option<PathBuf>,
-    env_checked: bool,
     map: HashMap<u64, TimeEstimate>,
     dirty: u64,
     /// Entries loaded from disk at the last (re)load — warm-start telemetry.
@@ -98,21 +108,24 @@ fn locked() -> std::sync::MutexGuard<'static, Store> {
 /// Resolve the directory lazily from `RVHPC_CACHE_DIR` unless one was set
 /// explicitly, loading the file on the transition to enabled.
 fn ensure_ready(s: &mut Store) {
-    if s.dir.is_none() && !s.env_checked {
-        s.env_checked = true;
+    if s.dir.is_none() && !ENV_CHECKED.load(Ordering::Acquire) {
         if let Some(dir) = std::env::var_os("RVHPC_CACHE_DIR") {
             if !dir.is_empty() {
                 s.dir = Some(PathBuf::from(dir));
                 reload(s);
             }
         }
+        ENV_CHECKED.store(true, Ordering::Release);
     }
 }
 
+/// The one place the directory takes effect: empties the in-memory map,
+/// publishes [`enabled`], and loads the file of the new directory, if any.
 fn reload(s: &mut Store) {
     s.map.clear();
     s.dirty = 0;
     s.loaded = 0;
+    ENABLED.store(s.dir.is_some(), Ordering::Release);
     let Some(dir) = &s.dir else { return };
     let Ok(text) = std::fs::read_to_string(dir.join(FILE_NAME)) else { return };
     // Corrupt or version-mismatched file parses to `None`: cold start,
@@ -191,9 +204,20 @@ fn write_atomic(dir: &Path, content: &str) -> std::io::Result<()> {
 /// and reloads from the new location immediately.
 pub fn set_cache_dir(dir: Option<PathBuf>) {
     let mut s = locked();
-    s.env_checked = true; // explicit choice wins; never consult the env again
     s.dir = dir;
     reload(&mut s);
+    // Explicit choice wins; never consult the env again.
+    ENV_CHECKED.store(true, Ordering::Release);
+}
+
+/// Whether the store is enabled. Lock-free once the directory is settled
+/// (the first call may resolve `RVHPC_CACHE_DIR` under the store lock), so
+/// a cache miss with the store off derives no key and takes no lock.
+pub(crate) fn enabled() -> bool {
+    if !ENV_CHECKED.load(Ordering::Acquire) {
+        ensure_ready(&mut locked());
+    }
+    ENABLED.load(Ordering::Acquire)
 }
 
 /// The directory currently backing the store, if enabled.
@@ -344,5 +368,21 @@ mod tests {
         assert_ne!(base, key_hash("m2", "k", "c"));
         assert_ne!(base, key_hash("m", "k2", "c"));
         assert_ne!(base, key_hash("m", "k", "c2"));
+    }
+
+    #[test]
+    fn catalog_key_hash_is_pinned() {
+        // Existing `estimates.v1` files are keyed by this derivation, so
+        // any change to it orphans every stored record. Update the literal
+        // only when that is intended: a catalog edit or a salt bump.
+        use crate::config::{Precision, RunConfig};
+        use rvhpc_kernels::KernelName;
+        use rvhpc_machines::{machine, MachineId};
+        let key = crate::cache::disk_key(
+            &machine(MachineId::Sg2042),
+            KernelName::STREAM_TRIAD,
+            &RunConfig::sg2042_best(Precision::Fp32, 16),
+        );
+        assert_eq!(format!("{key:016x}"), "a857992441c53e18");
     }
 }

@@ -20,12 +20,14 @@
 //!
 //! The pool never oversubscribes and the team shape is immutable after
 //! construction, mirroring `OMP_NUM_THREADS` + `OMP_PROC_BIND=true`.
-//! Physical pinning is not performed (the *simulated* machines are where
+//! A [`Team`] does not pin its threads (the *simulated* machines are where
 //! placement matters); the logical core id of each thread is recorded and
-//! exposed so the performance model can reason about it.
+//! exposed so the performance model can reason about it. Only the
+//! [`global_team`] binds its workers to host CPUs, one per CPU.
 
 #![warn(missing_docs)]
 
+mod affinity;
 pub mod barrier;
 pub mod pool;
 pub mod schedule;

@@ -8,6 +8,7 @@
 //! does not return until every worker has finished with it (the same
 //! lifetime-erasure technique used by scoped thread pools).
 
+use crate::affinity;
 use crate::barrier::{BarrierToken, SpinBarrier};
 use crate::schedule::static_chunk;
 use crate::worksteal::WorkQueues;
@@ -105,11 +106,23 @@ pub struct Team {
 /// experiment driver) share this pool instead of spawning and tearing down
 /// a private `Team` per call; `Team::run` serialises concurrent dispatchers,
 /// so interleaved sweeps queue rather than oversubscribe.
+///
+/// When the team has exactly one worker per CPU the process may run on,
+/// worker `i` is bound to the `i`-th of those CPUs (module `affinity`), so
+/// two workers never share a CPU while another idles. Under a CPU quota
+/// smaller than that set, placement is left to the scheduler.
 pub fn global_team() -> &'static Team {
     static TEAM: OnceLock<Team> = OnceLock::new();
     TEAM.get_or_init(|| {
         let lanes = std::thread::available_parallelism().map_or(4, |n| n.get());
-        Team::new(lanes)
+        let team = Team::new(lanes);
+        let cpus = affinity::allowed_cpus();
+        if cpus.len() == lanes {
+            team.run(|ctx| {
+                affinity::bind_current_thread(cpus[ctx.tid()]);
+            });
+        }
+        team
     })
 }
 
@@ -607,6 +620,21 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), global_team().n_threads());
+    }
+
+    #[test]
+    fn global_team_binds_one_worker_per_allowed_cpu() {
+        let team = global_team();
+        let masks = Mutex::new(vec![Vec::new(); team.n_threads()]);
+        team.run(|ctx| masks.lock().unwrap()[ctx.tid()] = affinity::allowed_cpus());
+        let masks = masks.into_inner().unwrap();
+        let cpus = affinity::allowed_cpus();
+        if cfg!(target_os = "linux") && cpus.len() == team.n_threads() {
+            let bound: Vec<Vec<usize>> = cpus.iter().map(|&cpu| vec![cpu]).collect();
+            assert_eq!(masks, bound, "worker i runs on the i-th allowed CPU only");
+        } else {
+            assert!(masks.iter().all(|m| *m == cpus), "unbound workers: {masks:?}");
+        }
     }
 
     #[test]
