@@ -88,12 +88,15 @@ awk "BEGIN { exit !($WALL2 < $WALL1) }"
 rm -rf "$EST_DIR" "$WARM1" "$WARM2"
 
 # The repository benchmark's own checks: its unit tests, then a short
-# cold-sweep smoke whose result line must report every pass correct (the
-# byte-identity and serial-estimate gates run on each pass).
+# smoke of each workload whose result line must report every operation
+# correct (the byte-identity and serial-estimate gates run on each sweep
+# pass; served replies are checked bit for bit against the library).
 cargo test --release --offline --manifest-path rvbench/Cargo.toml
-SWEEP_LAST="$(cargo run --release --offline --quiet --manifest-path rvbench/Cargo.toml -- \
-    --workload sweep_cold --seed 1 --seconds 2 --trace 0 | tail -n 1)"
-echo "$SWEEP_LAST" | grep -Eq '"correct":true,"attempted":[1-9][0-9]*,"failed":0,'
+for WORKLOAD in sweep_cold serve_hot fleet_mixed; do
+    LAST="$(cargo run --release --offline --quiet --manifest-path rvbench/Cargo.toml -- \
+        --workload "$WORKLOAD" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+    echo "$LAST" | grep -Eq '"correct":true,"attempted":[1-9][0-9]*,"failed":0,'
+done
 
 # Serving smoke: start the server on an ephemeral port, drive it with a
 # seeded loadgen (which exits non-zero on any protocol error, dropped

@@ -1,9 +1,9 @@
 //! Time the shared sweep engine itself: cold vs warm estimate cache, and
-//! the work-stealing fan-out against the static-chunk fan-out.
+//! the suite on the calling thread against a work-stealing pool fan-out.
 //!
 //! `cargo bench -p rvhpc-bench --bench sweep_engine` — the cold/warm gap
 //! measures what the cross-sweep cache buys a full-suite sweep; the
-//! fan-out pair measures the handout overhead on the estimator workload.
+//! fan-out pair measures what waking a pool would add to a warm suite.
 
 use rvhpc::machines::{machine, MachineId};
 use rvhpc::perfmodel::{cache, estimate_cached, Precision, RunConfig};
@@ -44,17 +44,11 @@ fn bench_fanout(c: &mut Criterion) {
     let total = KernelName::ALL.len();
     let team = global_team();
 
-    banner("estimator fan-out: work-stealing vs static chunks");
+    banner("suite: calling thread vs work-stealing fan-out");
+    c.bench_function("suite_inline", |b| b.iter(|| black_box(suite_times(&m, &cfg))));
     c.bench_function("fanout_worksteal", |b| {
         b.iter(|| {
             team.parallel_for_worksteal(0..total, |i| {
-                black_box(estimate_cached(&m, KernelName::ALL[i], &cfg));
-            })
-        })
-    });
-    c.bench_function("fanout_static", |b| {
-        b.iter(|| {
-            team.parallel_for(0..total, |i| {
                 black_box(estimate_cached(&m, KernelName::ALL[i], &cfg));
             })
         })

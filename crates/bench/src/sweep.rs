@@ -14,7 +14,7 @@
 //! {
 //!   "schema": "rvhpc-bench-v1",
 //!   "quick": true,
-//!   "engine": { "lanes": 8, "cache_capacity": 32768 },
+//!   "engine": { "lanes": 1, "cache_capacity": 32768 },
 //!   "experiments": [
 //!     { "name": "fig1", "wall_seconds": 0.012,
 //!       "estimate_cache": { "hits": 0, "misses": 640,
@@ -42,7 +42,8 @@ pub const SCHEMA: &str = "rvhpc-bench-v1";
 
 /// The shared-engine shape recorded in the artefact.
 pub struct EngineInfo {
-    /// Worker lanes in the process-wide team.
+    /// Threads the sweep estimates on: 1, since every suite runs on the
+    /// calling thread.
     pub lanes: usize,
     /// Estimate-cache capacity (entries).
     pub cache_capacity: usize,

@@ -133,6 +133,15 @@ impl TrafficModel {
 
     /// Predict boundary traffic for one stream.
     pub fn traffic(&self, spec: &AccessSpec) -> LevelTraffic {
+        let mut out = LevelTraffic::default();
+        self.traffic_into(spec, &mut out);
+        out
+    }
+
+    /// [`TrafficModel::traffic`] written into `out`, whose `fetch_bytes`
+    /// buffer is reused: a caller that keeps one `LevelTraffic` makes no
+    /// allocation per stream once it has grown.
+    pub fn traffic_into(&self, spec: &AccessSpec, out: &mut LevelTraffic) {
         let _span = rvhpc_trace::span!(
             "cachesim.traffic",
             footprint_bytes = spec.footprint_bytes,
@@ -140,16 +149,17 @@ impl TrafficModel {
         );
         rvhpc_trace::counter!("cachesim.analytic.streams", 1);
         let n = self.level_capacities.len();
+        let fetch_bytes = &mut out.fetch_bytes;
+        fetch_bytes.clear();
         if spec.footprint_bytes <= 0.0 || spec.passes <= 0.0 {
-            return LevelTraffic {
-                requested_bytes: 0.0,
-                fetch_bytes: vec![0.0; n],
-                dram_writeback_bytes: 0.0,
-            };
+            fetch_bytes.resize(n, 0.0);
+            out.requested_bytes = 0.0;
+            out.dram_writeback_bytes = 0.0;
+            return;
         }
         let stride = spec.stride_bytes.max(spec.elem_bytes).max(1.0);
         let accesses_per_pass = (spec.footprint_bytes / stride).max(1.0);
-        let requested = spec.passes * accesses_per_pass * spec.elem_bytes;
+        out.requested_bytes = spec.passes * accesses_per_pass * spec.elem_bytes;
 
         match spec.locality {
             Locality::Sequential | Locality::Strided => {
@@ -170,39 +180,33 @@ impl TrafficModel {
                     .position(|&cap| spec.footprint_bytes <= cap)
                     .unwrap_or(n);
 
-                let fetch_bytes: Vec<f64> = (0..n)
-                    .map(|i| {
-                        if i < home {
-                            spec.passes * pass_line_bytes
-                        } else if self.steady_state {
-                            0.0 // resident across repetitions
-                        } else {
-                            pass_line_bytes // compulsory first pass only
-                        }
-                    })
-                    .collect();
+                fetch_bytes.extend((0..n).map(|i| {
+                    if i < home {
+                        spec.passes * pass_line_bytes
+                    } else if self.steady_state {
+                        0.0 // resident across repetitions
+                    } else {
+                        pass_line_bytes // compulsory first pass only
+                    }
+                }));
 
                 // Dirty lines reach DRAM every pass when the footprint is
                 // DRAM-resident, otherwise once.
                 let wb_passes = if home == n { spec.passes } else { 1.0 };
-                let dram_writeback_bytes = spec.write_fraction * pass_line_bytes * wb_passes;
-
-                LevelTraffic { requested_bytes: requested, fetch_bytes, dram_writeback_bytes }
+                out.dram_writeback_bytes = spec.write_fraction * pass_line_bytes * wb_passes;
             }
             Locality::Random => {
                 // Each access fetches a line with no spatial reuse; a level
                 // hits with probability share/footprint.
                 let total_accesses = spec.passes * accesses_per_pass;
                 let mut reaching = total_accesses; // accesses probing L1
-                let mut fetch_bytes = vec![0.0; n];
-                for (i, &cap) in self.level_capacities.iter().enumerate() {
+                for &cap in &self.level_capacities {
                     let hit_p = (cap / spec.footprint_bytes).clamp(0.0, 1.0);
                     let misses = reaching * (1.0 - hit_p);
-                    fetch_bytes[i] = misses * self.line_bytes;
+                    fetch_bytes.push(misses * self.line_bytes);
                     reaching = misses;
                 }
-                let dram_writeback_bytes = spec.write_fraction * fetch_bytes[n - 1];
-                LevelTraffic { requested_bytes: requested, fetch_bytes, dram_writeback_bytes }
+                out.dram_writeback_bytes = spec.write_fraction * fetch_bytes[n - 1];
             }
         }
     }

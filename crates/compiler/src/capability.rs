@@ -10,7 +10,7 @@
 //! 2MM, 3MM and GEMM. The remaining members are assigned to match both the
 //! totals and each kernel's inherent vectorisability from the descriptors.
 
-use rvhpc_kernels::{workload, KernelName};
+use rvhpc_kernels::{vec_profile, KernelName};
 
 /// A toolchain that can target the C920.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -173,11 +173,11 @@ fn vector_path_decision(
     // *some* loop (that is how reference [11] reaches 59/64 for Clang);
     // whether the hot loop can run vectorised is still bounded by the
     // kernel's inherent dependence structure.
-    let w = workload(kernel, kernel.default_size());
-    if !w.vec.vectorizable {
+    let profile = vec_profile(kernel);
+    if !profile.vectorizable {
         return false;
     }
-    if w.vec.int_data {
+    if profile.int_data {
         return true; // integer vectors work at any "precision" setting
     }
     elem_bits < 64 || hw_supports_fp64_vec
@@ -186,7 +186,7 @@ fn vector_path_decision(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvhpc_kernels::KernelClass;
+    use rvhpc_kernels::{workload, KernelClass};
 
     fn count(compiler: Compiler, status: VecStatus) -> usize {
         KernelName::ALL.iter().filter(|&&k| vec_status(compiler, k) == status).count()

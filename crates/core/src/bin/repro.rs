@@ -892,7 +892,8 @@ fn bench(args: &[String]) -> ! {
     // acceptance contract is about; full mode adds warm repetitions and
     // keeps the per-rep minimum as the wall time.
     let reps = if quick { 1 } else { 3 };
-    let lanes = rvhpc::threads::global_team().n_threads();
+    // Every experiment estimates its suites on this thread.
+    let lanes = 1;
     println!(
         "bench: {} experiment(s), {reps} rep(s) each, {lanes} lane(s), cache capacity {}\n",
         EXPERIMENTS.len(),

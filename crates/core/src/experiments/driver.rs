@@ -3,11 +3,12 @@
 //!
 //! `repro all` used to be a hand-maintained list of a dozen calls; the
 //! driver makes the batch first-class so the binary, the bench harness and
-//! CI all iterate the *same* experiments in the same order. Because every
-//! experiment fans out over [`rvhpc_threads::global_team`] and estimates
-//! through the cross-sweep cache, running the batch end-to-end makes
-//! exactly one pass over each unique `(machine, kernel, config)` triple —
-//! later experiments are served the earlier experiments' estimates.
+//! CI all iterate the *same* experiments in the same order. Every
+//! experiment runs its suites on the calling thread
+//! ([`crate::suite::suite_times`]) and estimates through the cross-sweep
+//! cache, so running the batch end-to-end makes exactly one pass over each
+//! unique `(machine, kernel, config)` triple — later experiments are
+//! served the earlier experiments' estimates.
 
 use super::{fig1, fig2, fig3, next_gen, scaling, x86};
 use crate::report::{FigureReport, TableReport};

@@ -3,8 +3,6 @@
 use rvhpc_kernels::{KernelClass, KernelName};
 use rvhpc_machines::Machine;
 use rvhpc_perfmodel::{estimate_cached, RunConfig, TimeEstimate};
-use rvhpc_threads::global_team;
-use std::sync::Mutex;
 
 /// One kernel's simulated time under one configuration.
 #[derive(Debug, Clone)]
@@ -19,32 +17,22 @@ pub struct KernelTime {
 
 /// Run the whole 64-kernel suite on a simulated machine.
 ///
-/// The per-kernel estimates are independent, so the sweep fans out over the
-/// process-wide [`global_team`] — one shared pool amortised across every
-/// sweep of a reproduction instead of a spawn/teardown per call — with a
-/// work-stealing handout (per-kernel estimate cost is irregular; see
-/// [`rvhpc_threads::worksteal`]). Estimates go through the cross-sweep
-/// cache ([`rvhpc_perfmodel::cache`]), so repeated configurations are
-/// computed once per process. Results come back in `KernelName::ALL` order
-/// and are bit-identical to a serial single-lane run: the estimator is
-/// pure, each kernel writes its own slot, and neither the handout order nor
-/// the cache state can change a value.
+/// The 64 estimates run in `KernelName::ALL` order on the calling thread:
+/// a cold suite is ~0.1 ms of estimator work, less than waking and joining
+/// a pool would cost. Estimates go through the cross-sweep cache
+/// ([`rvhpc_perfmodel::cache`]), so repeated configurations are computed
+/// once per process, and are bit-identical to uncached
+/// [`rvhpc_perfmodel::estimate_averaged`] calls: the estimator is pure and
+/// the cache state cannot change a value.
 pub fn suite_times(machine: &Machine, cfg: &RunConfig) -> Vec<KernelTime> {
     let _span = rvhpc_trace::span!("core.suite_times", machine = machine.id.token());
-    let total = KernelName::ALL.len();
-    let slots: Vec<Mutex<Option<KernelTime>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    global_team().parallel_for_worksteal(0..total, |i| {
-        let kernel = KernelName::ALL[i];
-        let time = KernelTime {
+    KernelName::ALL
+        .into_iter()
+        .map(|kernel| KernelTime {
             kernel,
             class: kernel.class(),
             estimate: estimate_cached(machine, kernel, cfg),
-        };
-        *slots[i].lock().expect("slot poisoned") = Some(time);
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot poisoned").expect("all kernels estimated"))
+        })
         .collect()
 }
 
@@ -100,9 +88,8 @@ mod tests {
         assert_eq!(a.vector_path, b.vector_path, "{ctx}: vector_path");
     }
 
-    /// The sweep-determinism contract: `suite_times` through the shared
-    /// pool — whatever the lane count, cold or warm cache — returns
-    /// bit-identical estimates to a serial single-lane run, on all 8
+    /// The sweep-determinism contract: `suite_times`, cold or warm cache,
+    /// returns bit-identical estimates to plain uncached calls, on all 8
     /// machines.
     #[test]
     fn suite_times_matches_serial_run_bit_for_bit_on_all_machines() {

@@ -13,6 +13,7 @@
 //! the mapping from loop body → model input is reviewable side by side.
 
 use crate::ids::KernelName;
+use std::sync::OnceLock;
 
 /// Spatial access shape of one stream (converted to the cache model's
 /// locality classes by `rvhpc-perfmodel`).
@@ -951,6 +952,14 @@ pub fn workload(name: KernelName, n: usize) -> Workload {
     }
 }
 
+/// A kernel's vectorisation response, `workload(name, n).vec` for any
+/// `n`: the profile describes the loop body, not the problem size. Read
+/// from a table built once per process, so asking costs no workload.
+pub fn vec_profile(name: KernelName) -> VecProfile {
+    static PROFILES: OnceLock<[VecProfile; 64]> = OnceLock::new();
+    PROFILES.get_or_init(|| KernelName::ALL.map(|k| workload(k, 1).vec))[name as usize]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1034,5 +1043,15 @@ mod tests {
         let w = workload(KernelName::REDUCE3_INT, 1000);
         // The int stream is 4-byte regardless of FP precision.
         assert_eq!(w.requested_bytes(4), w.requested_bytes(8));
+    }
+
+    #[test]
+    fn vec_profile_is_the_workload_profile_at_every_size() {
+        for k in KernelName::ALL {
+            for n in [1, 1000, k.default_size(), 8_388_608] {
+                let (a, b) = (vec_profile(k), workload(k, n).vec);
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{k} at {n}");
+            }
+        }
     }
 }

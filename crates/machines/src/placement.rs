@@ -12,7 +12,7 @@
 //!   cycle round the four-core clusters inside each region. Worked example:
 //!   8 threads → cores 0, 8, 32, 40, 16, 24, 48, 56.
 
-use crate::topology::Topology;
+use crate::topology::{NumaRegion, Topology};
 use std::fmt;
 
 /// A thread-placement policy.
@@ -43,22 +43,140 @@ impl PlacementPolicy {
 
     /// Compute the core id for each of `n_threads` threads.
     ///
+    /// Block is the identity. The cyclic policies take cores round-robin
+    /// from the regions, each region listing its cores in its own order:
+    /// ascending for NUMA-cyclic; for cluster-cyclic, core 0 of every
+    /// cluster (clusters in `Topology::interleaved_cluster_start` order),
+    /// then core 1 of every cluster, and so on, so consecutive picks land
+    /// on different clusters. The order is computed on the fly into the
+    /// one `cores` vector.
+    ///
     /// Panics if `n_threads` exceeds the number of cores (the paper never
     /// oversubscribes; SMT is disabled on all machines).
     pub fn map(self, topo: &Topology, n_threads: usize) -> Placement {
-        assert!(
-            n_threads >= 1 && n_threads <= topo.n_cores(),
-            "n_threads {} out of range 1..={}",
-            n_threads,
-            topo.n_cores()
-        );
-        let cores = match self {
-            PlacementPolicy::Block => (0..n_threads).collect(),
-            PlacementPolicy::NumaCyclic => numa_cyclic(topo, n_threads),
-            PlacementPolicy::ClusterCyclic => cluster_cyclic(topo, n_threads),
-        };
+        check_threads(topo, n_threads);
+        let mut cores = Vec::with_capacity(n_threads);
+        if self == PlacementPolicy::Block {
+            cores.extend(0..n_threads);
+        } else {
+            let longest = topo.regions().iter().map(NumaRegion::n_cores).max().unwrap_or(0);
+            'fill: for slot in 0..longest {
+                for r in topo.regions() {
+                    if let Some(core) = self.region_core(topo, r, slot) {
+                        cores.push(core);
+                        if cores.len() == n_threads {
+                            break 'fill;
+                        }
+                    }
+                }
+            }
+        }
         Placement::new(self, topo, cores)
     }
+
+    /// The occupancy of the policy's first `n_threads` threads on a valid
+    /// topology, equal to `self.map(topo, n_threads).occupancy(topo)`. It
+    /// is worked out from the round-robin's shape rather than by listing
+    /// cores: no allocation, and a few operations per region instead of
+    /// per thread. This is what the estimator calls.
+    ///
+    /// Panics like [`PlacementPolicy::map`].
+    pub fn occupancy(self, topo: &Topology, n_threads: usize) -> Occupancy {
+        check_threads(topo, n_threads);
+        let block = self == PlacementPolicy::Block;
+        // Block fills cores 0.. in id order, and clusters are contiguous
+        // from core 0, so cluster 0 is the fullest.
+        let mut max_threads_per_cluster =
+            if block { n_threads.min(topo.cluster_size()) } else { 0 };
+        let mut threads_per_controller = 0.0f64;
+        // The cyclic round-robin fills `depth` slots of every region, then
+        // one more core of the first `extra` regions still listing cores.
+        let (depth, mut extra) = self.round_robin_depth(topo, n_threads);
+        for r in topo.regions() {
+            let threads = if block {
+                r.core_ranges.iter().map(|&(s, e)| n_threads.clamp(s, e.max(s)) - s).sum()
+            } else {
+                let takes_extra = r.n_cores() > depth && extra > 0;
+                extra -= usize::from(takes_extra);
+                let threads = r.n_cores().min(depth) + usize::from(takes_extra);
+                max_threads_per_cluster =
+                    max_threads_per_cluster.max(self.fullest_cluster(topo, r, threads));
+                threads
+            };
+            threads_per_controller =
+                threads_per_controller.max(threads as f64 / r.controllers as f64);
+        }
+        Occupancy { threads: n_threads, threads_per_controller, max_threads_per_cluster }
+    }
+
+    /// For a cyclic policy, the number of complete round-robin slots the
+    /// first `n_threads` threads fill, and how many threads spill into
+    /// the next slot.
+    fn round_robin_depth(self, topo: &Topology, n_threads: usize) -> (usize, usize) {
+        if self == PlacementPolicy::Block {
+            return (0, 0);
+        }
+        // Threads placed by the first `depth` slots; a binary search for
+        // the deepest that fits.
+        let placed =
+            |depth: usize| -> usize { topo.regions().iter().map(|r| r.n_cores().min(depth)).sum() };
+        let (mut lo, mut hi) =
+            (0, topo.regions().iter().map(NumaRegion::n_cores).max().unwrap_or(0));
+        while lo < hi {
+            let mid = (lo + hi).div_ceil(2);
+            if placed(mid) <= n_threads {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        (lo, n_threads - placed(lo))
+    }
+
+    /// Threads on the fullest cluster of region `r` when a cyclic policy
+    /// places `threads` threads there: the region's list visits its
+    /// clusters one core at a time (cluster-cyclic), or fills them in
+    /// core-id order (NUMA-cyclic).
+    fn fullest_cluster(self, topo: &Topology, r: &NumaRegion, threads: usize) -> usize {
+        let cs = topo.cluster_size();
+        if self == PlacementPolicy::ClusterCyclic {
+            return threads.div_ceil((r.n_cores() / cs).max(1));
+        }
+        // Ascending core ids: each range's clusters fill in turn.
+        let mut left = threads;
+        let mut fullest = 0;
+        for &(s, e) in &r.core_ranges {
+            let take = left.min(e.saturating_sub(s));
+            fullest = fullest.max(take.min(cs));
+            left -= take;
+        }
+        fullest
+    }
+
+    /// The `slot`-th core of region `r`'s list under a cyclic policy, if
+    /// the list is that long.
+    fn region_core(self, topo: &Topology, r: &NumaRegion, slot: usize) -> Option<usize> {
+        match self {
+            PlacementPolicy::Block | PlacementPolicy::NumaCyclic => r.nth_core(slot),
+            PlacementPolicy::ClusterCyclic => {
+                if slot >= r.n_cores() {
+                    return None;
+                }
+                let clusters = (r.n_cores() / topo.cluster_size()).max(1);
+                let start = topo.interleaved_cluster_start(r.id, slot % clusters)?;
+                Some(start + slot / clusters)
+            }
+        }
+    }
+}
+
+fn check_threads(topo: &Topology, n_threads: usize) {
+    assert!(
+        n_threads >= 1 && n_threads <= topo.n_cores(),
+        "n_threads {} out of range 1..={}",
+        n_threads,
+        topo.n_cores()
+    );
 }
 
 impl fmt::Display for PlacementPolicy {
@@ -67,51 +185,17 @@ impl fmt::Display for PlacementPolicy {
     }
 }
 
-/// Cyclic across regions; within a region cores are taken in ascending id
-/// order.
-fn numa_cyclic(topo: &Topology, n_threads: usize) -> Vec<usize> {
-    let region_cores: Vec<Vec<usize>> = topo.regions().iter().map(|r| r.cores()).collect();
-    round_robin(&region_cores, n_threads)
-}
-
-/// Cyclic across regions; within a region, cyclic across clusters (in the
-/// interleaved order the SG2042 layout produces); within a cluster, ascending
-/// core id.
-fn cluster_cyclic(topo: &Topology, n_threads: usize) -> Vec<usize> {
-    let region_cores: Vec<Vec<usize>> = (0..topo.n_regions())
-        .map(|r| {
-            // Order the region's cores so that consecutive picks land on
-            // different clusters: interleave the clusters, then within the
-            // sequence take core 0 of each cluster, then core 1, …
-            let clusters = topo.region_clusters_interleaved(r);
-            let mut out = Vec::new();
-            for lane in 0..topo.cluster_size() {
-                for &cl in &clusters {
-                    let core = topo.cluster_cores(cl).start + lane;
-                    out.push(core);
-                }
-            }
-            out
-        })
-        .collect();
-    round_robin(&region_cores, n_threads)
-}
-
-/// Take items round-robin from each list until `n` are collected.
-fn round_robin(lists: &[Vec<usize>], n: usize) -> Vec<usize> {
-    let longest = lists.iter().map(Vec::len).max().unwrap_or(0);
-    let mut out = Vec::with_capacity(n);
-    'outer: for slot in 0..longest {
-        for list in lists {
-            if let Some(&c) = list.get(slot) {
-                out.push(c);
-                if out.len() == n {
-                    break 'outer;
-                }
-            }
-        }
-    }
-    out
+/// What the contention model reads of a placement: the thread count, the
+/// load of the busiest memory controller and the fullest cluster.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Occupancy {
+    /// Threads placed.
+    pub threads: usize,
+    /// Threads in each NUMA region over that region's controllers, at the
+    /// busiest region (`0.0` for no threads).
+    pub threads_per_controller: f64,
+    /// Largest number of threads sharing one cluster.
+    pub max_threads_per_cluster: usize,
 }
 
 /// The result of applying a policy: a thread → core map plus derived
@@ -142,6 +226,19 @@ impl Placement {
     /// Number of threads.
     pub fn n_threads(&self) -> usize {
         self.cores.len()
+    }
+
+    /// What the contention model reads of this placement on `topo`.
+    pub fn occupancy(&self, topo: &Topology) -> Occupancy {
+        Occupancy {
+            threads: self.n_threads(),
+            threads_per_controller: topo
+                .regions()
+                .iter()
+                .map(|r| self.threads_per_region[r.id] as f64 / r.controllers as f64)
+                .fold(0.0f64, f64::max),
+            max_threads_per_cluster: self.max_threads_per_cluster(),
+        }
     }
 
     /// Number of NUMA regions with at least one thread.

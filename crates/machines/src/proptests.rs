@@ -2,8 +2,10 @@
 
 #![cfg(test)]
 
-use crate::placement::PlacementPolicy;
-use crate::topology::Topology;
+use crate::catalog::machine;
+use crate::ids::MachineId;
+use crate::placement::{Occupancy, PlacementPolicy};
+use crate::topology::{NumaRegion, Topology};
 use rvhpc_quickprop::{run_cases, Gen};
 
 /// Generate a valid contiguous topology (cores divisible by regions and
@@ -14,6 +16,33 @@ fn topology(g: &mut Gen) -> Topology {
     let cluster_size = *g.choose(&[1usize, 2, 4]);
     let per_region = clusters_per_region * cluster_size;
     Topology::contiguous(regions * per_region, regions, 1, cluster_size)
+}
+
+/// A valid topology whose regions may differ in size and interleave the
+/// way the SG2042's do: region `r` owns a block of one or two clusters in
+/// the first half of the core ids and a block of up to two in the second.
+fn interleaved_topology(g: &mut Gen) -> Topology {
+    let n_regions = g.usize_in(1..=4);
+    let cluster_size = *g.choose(&[1usize, 2, 4]);
+    let mut ranges = vec![Vec::new(); n_regions];
+    let mut next = 0;
+    for clusters in [1..=2, 0..=2] {
+        for region in &mut ranges {
+            let len = g.usize_in(clusters.clone()) * cluster_size;
+            if len > 0 {
+                region.push((next, next + len));
+                next += len;
+            }
+        }
+    }
+    let regions = ranges
+        .into_iter()
+        .enumerate()
+        .map(|(id, core_ranges)| NumaRegion { id, core_ranges, controllers: g.usize_in(1..=2) })
+        .collect();
+    let topo = Topology::new(next, cluster_size, regions);
+    topo.validate().expect("generator builds valid topologies");
+    topo
 }
 
 /// A thread count between one and full occupancy of `topo`.
@@ -92,4 +121,45 @@ fn sg2042_placements_hold_at_every_thread_count() {
             assert_eq!(cores.len(), n_threads, "{policy} duplicates");
         }
     }
+}
+
+/// The occupancy the estimator counts in place equals the counts taken
+/// over `map().cores`, on every catalog topology at every thread count and
+/// on random valid topologies, contiguous or interleaved.
+#[test]
+fn counted_occupancy_matches_the_mapped_cores() {
+    let check = |topo: &Topology, policy: PlacementPolicy, n_threads: usize| {
+        let cores = policy.map(topo, n_threads).cores;
+        let mut per_region = vec![0usize; topo.n_regions()];
+        let mut per_cluster = vec![0usize; topo.n_clusters()];
+        for &c in &cores {
+            per_region[topo.core_region(c)] += 1;
+            per_cluster[topo.core_cluster(c)] += 1;
+        }
+        let busiest = topo
+            .regions()
+            .iter()
+            .map(|r| per_region[r.id] as f64 / r.controllers as f64)
+            .fold(0.0f64, f64::max);
+        let want = Occupancy {
+            threads: cores.len(),
+            threads_per_controller: busiest,
+            max_threads_per_cluster: per_cluster.into_iter().max().unwrap_or(0),
+        };
+        assert_eq!(policy.occupancy(topo, n_threads), want, "{policy} at {n_threads}");
+    };
+    for id in MachineId::ALL.into_iter().chain([MachineId::Sg2042NextGen]) {
+        let topo = machine(id).topology;
+        for policy in PlacementPolicy::ALL {
+            for n_threads in 1..=topo.n_cores() {
+                check(&topo, policy, n_threads);
+            }
+        }
+    }
+    run_cases(256, |g| {
+        let topo = if g.bool_with(0.5) { topology(g) } else { interleaved_topology(g) };
+        let policy = *g.choose(&PlacementPolicy::ALL);
+        let n_threads = thread_count(g, &topo);
+        check(&topo, policy, n_threads);
+    });
 }

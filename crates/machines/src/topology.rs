@@ -33,6 +33,12 @@ impl NumaRegion {
         self.core_ranges.iter().flat_map(|&(s, e)| s..e).collect()
     }
 
+    /// The `k`-th core id of the region in ascending order, if it has
+    /// that many (allocation-free [`NumaRegion::cores`]`[k]`).
+    pub(crate) fn nth_core(&self, k: usize) -> Option<usize> {
+        self.core_ranges.iter().flat_map(|&(s, e)| s..e).nth(k)
+    }
+
     /// Number of cores in the region.
     pub fn n_cores(&self) -> usize {
         self.core_ranges.iter().map(|&(s, e)| e - s).sum()
@@ -142,36 +148,38 @@ impl Topology {
         cluster * self.cluster_size..(cluster + 1) * self.cluster_size
     }
 
-    /// Cluster ids whose cores are in the given region, ordered by
-    /// interleaving the region's contiguous ranges (first cluster of range 0,
-    /// first cluster of range 1, second of range 0, …). This is the ordering
-    /// that reproduces the paper's cluster-cyclic placement example:
-    /// region 0's clusters come out as those starting at cores 0, 16, 4, 20.
-    pub fn region_clusters_interleaved(&self, region: usize) -> Vec<usize> {
-        let r = &self.regions[region];
-        let per_range: Vec<Vec<usize>> = r
-            .core_ranges
-            .iter()
-            .map(|&(s, e)| {
-                let mut cl: Vec<usize> = (s..e).map(|c| self.core_cluster(c)).collect();
-                cl.dedup();
-                cl
-            })
-            .collect();
-        let longest = per_range.iter().map(Vec::len).max().unwrap_or(0);
-        let mut out = Vec::new();
-        for slot in 0..longest {
-            for range in &per_range {
-                if let Some(&cl) = range.get(slot) {
-                    out.push(cl);
+    /// First core of the `j`-th cluster of a region, with the clusters
+    /// ordered by interleaving the region's contiguous ranges (first
+    /// cluster of range 0, first cluster of range 1, second of range 0,
+    /// …). This is the ordering that reproduces the paper's cluster-cyclic
+    /// placement example: region 0's clusters come out as those starting
+    /// at cores 0, 16, 4, 20. The region's ranges start and end on cluster
+    /// boundaries in a valid topology.
+    pub(crate) fn interleaved_cluster_start(&self, region: usize, j: usize) -> Option<usize> {
+        let ranges = &self.regions[region].core_ranges;
+        let mut left = j;
+        let mut offset = 0;
+        loop {
+            let mut any = false;
+            for &(s, e) in ranges {
+                if s + offset < e {
+                    any = true;
+                    if left == 0 {
+                        return Some(s + offset);
+                    }
+                    left -= 1;
                 }
             }
+            if !any {
+                return None;
+            }
+            offset += self.cluster_size;
         }
-        out
     }
 
     /// Structural sanity check: regions partition the core set, clusters
-    /// divide it evenly, and no cluster spans two regions.
+    /// divide it evenly, no cluster spans two regions, and every region
+    /// range starts and ends on a cluster boundary.
     pub fn validate(&self) -> Result<(), String> {
         if self.n_cores == 0 {
             return Err("zero cores".into());
@@ -209,6 +217,16 @@ impl Topology {
             for c in cores {
                 if self.core_region(c) != region {
                     return Err(format!("cluster {cl} spans regions"));
+                }
+            }
+        }
+        // The placement policies list a region's clusters range by range,
+        // so a cluster split over two of its region's ranges would be
+        // listed twice.
+        for r in &self.regions {
+            for &(s, e) in &r.core_ranges {
+                if s % self.cluster_size != 0 || e % self.cluster_size != 0 {
+                    return Err(format!("region {} range {s}..{e} splits a cluster", r.id));
                 }
             }
         }
@@ -255,8 +273,7 @@ mod tests {
         let t = Topology::sg2042();
         // Region 0 ranges are 0-7 and 16-23 → clusters {0-3},{4-7} and
         // {16-19},{20-23}; interleaved order starts 0, 16, 4, 20.
-        let order: Vec<usize> =
-            t.region_clusters_interleaved(0).iter().map(|&cl| t.cluster_cores(cl).start).collect();
+        let order: Vec<usize> = (0..).map_while(|j| t.interleaved_cluster_start(0, j)).collect();
         assert_eq!(order, vec![0, 16, 4, 20]);
     }
 
@@ -304,5 +321,16 @@ mod tests {
         ];
         let t = Topology::new(8, 4, regions);
         assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_cluster_split_over_two_ranges_of_one_region() {
+        // Cores 2 and 3 of cluster 0 sit in region 0's second range.
+        let regions = vec![
+            NumaRegion { id: 0, core_ranges: vec![(0, 2), (2, 4)], controllers: 1 },
+            NumaRegion { id: 1, core_ranges: vec![(4, 8)], controllers: 1 },
+        ];
+        let err = Topology::new(8, 4, regions).validate().unwrap_err();
+        assert!(err.contains("splits a cluster"), "{err}");
     }
 }

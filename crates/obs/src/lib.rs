@@ -10,7 +10,8 @@
 //!   for rates and percentiles; bucket math shared with
 //!   [`rvhpc_trace::hist`].
 //! * [`gauge_set`] — point-in-time gauges (queue depth, in-flight
-//!   batches, worksteal backlog, cache occupancy).
+//!   batches, worksteal backlog, cache occupancy); hot paths set them
+//!   through a [`Gauge`] handle resolved once.
 //! * [`slo`] — a process-wide [`SloTracker`] counting requests against a
 //!   latency SLO and tail-sampling breaching requests with full per-stage
 //!   breakdowns ([`SlowRequest`]).
@@ -136,6 +137,39 @@ pub fn gauge_set(name: &'static str, value: i64) {
     gauge(name).store(value, Ordering::Relaxed);
 }
 
+/// A gauge resolved once: hot paths keep one in a `static` and
+/// [`Gauge::set`] it without taking the registry lock or comparing names.
+///
+/// ```
+/// static DEPTH: rvhpc_obs::Gauge = rvhpc_obs::Gauge::new("doc.queue_depth");
+/// DEPTH.set(3);
+/// assert!(rvhpc_obs::gauges().contains(&("doc.queue_depth", 3)));
+/// ```
+pub struct Gauge {
+    name: &'static str,
+    cell: OnceLock<&'static AtomicI64>,
+}
+
+impl Gauge {
+    /// A handle for the gauge `name`, registered on first use.
+    pub const fn new(name: &'static str) -> Gauge {
+        Gauge { name, cell: OnceLock::new() }
+    }
+
+    /// The registered gauge (registering it on the first call).
+    pub fn get(&self) -> &'static AtomicI64 {
+        self.cell.get_or_init(|| gauge(self.name))
+    }
+
+    /// [`gauge_set`] through the handle: a no-op when recording is
+    /// disabled.
+    pub fn set(&self, value: i64) {
+        if enabled() {
+            self.get().store(value, Ordering::Relaxed);
+        }
+    }
+}
+
 /// All gauges and their current values, sorted by name.
 pub fn gauges() -> Vec<(&'static str, i64)> {
     let registry = gauge_registry().lock().unwrap_or_else(|e| e.into_inner());
@@ -171,6 +205,18 @@ mod tests {
         gauge_set("test.lib.gauge", 7);
         let got = gauges().into_iter().find(|&(n, _)| n == "test.lib.gauge");
         assert_eq!(got, Some(("test.lib.gauge", 7)));
+    }
+
+    #[test]
+    fn a_handle_set_value_appears_in_the_registry() {
+        static HANDLE: Gauge = Gauge::new("test.lib.handle");
+        HANDLE.set(5);
+        HANDLE.set(9);
+        assert!(std::ptr::eq(HANDLE.get(), gauge("test.lib.handle")), "one gauge per name");
+        let got = gauges().into_iter().find(|&(n, _)| n == "test.lib.handle");
+        assert_eq!(got, Some(("test.lib.handle", 9)));
+        gauge_set("test.lib.handle", 4);
+        assert_eq!(HANDLE.get().load(Ordering::Relaxed), 4, "name and handle share the value");
     }
 
     #[test]

@@ -75,14 +75,20 @@ fn capacity_drift_warning(
 /// captured value, a warning is printed to stderr (once) instead of the
 /// change being silently ignored.
 pub fn capacity() -> usize {
-    static CAPACITY: OnceLock<usize> = OnceLock::new();
     static WARNED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+    let cap = bound();
     let raw = std::env::var("RVHPC_CACHE_CAP").ok();
-    let cap = *CAPACITY.get_or_init(|| configured_capacity(raw.as_deref()));
     if let Some(warning) = capacity_drift_warning(cap, raw.as_deref(), &WARNED) {
         eprintln!("{warning}");
     }
     cap
+}
+
+/// The capacity captured at first use. The insert path reads this, not
+/// [`capacity`]: a miss must not scan the environment.
+fn bound() -> usize {
+    static CAPACITY: OnceLock<usize> = OnceLock::new();
+    *CAPACITY.get_or_init(|| configured_capacity(std::env::var("RVHPC_CACHE_CAP").ok().as_deref()))
 }
 
 /// Number of currently resident entries (same as [`stats`]`().entries`).
@@ -233,15 +239,18 @@ pub fn clear() {
 fn insert_resident(key: Key, est: TimeEstimate) {
     let (evicted, resident) = {
         let mut c = locked();
-        let evicted = c.insert(capacity(), key, est);
+        let evicted = c.insert(bound(), key, est);
         (evicted, c.map.len())
     };
     if evicted > 0 {
         EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
         rvhpc_trace::counter!("perfmodel.estimate_cache.eviction", evicted);
     }
-    rvhpc_obs::gauge_set("perfmodel.estimate_cache.entries", resident as i64);
+    ENTRIES.set(resident as i64);
 }
+
+/// The resident-entries gauge, set on every insert.
+static ENTRIES: rvhpc_obs::Gauge = rvhpc_obs::Gauge::new("perfmodel.estimate_cache.entries");
 
 /// The persistent store's content key for one lookup: the full descriptor,
 /// the kernel and the canonical configuration (see [`persist`]).

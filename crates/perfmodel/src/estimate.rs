@@ -10,6 +10,8 @@ use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::{workload, KernelClass, KernelName, Workload};
 use rvhpc_machines::Machine;
 use rvhpc_rvv::Sew;
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -181,16 +183,37 @@ pub fn estimate_sized(
         machine = machine.id.token(),
         threads = cfg.threads,
     );
-    let est = model_parts(machine, kernel, cfg, cal, size).estimate();
+    let parts = model_parts(machine, kernel, cfg, cal, size);
+    let est = parts.estimate();
+    // Hand the environment's buffers back for this thread's next estimate.
+    ENV_SCRATCH.set(parts.env);
     rvhpc_trace::histogram!("perfmodel.estimate.seconds", est.seconds);
     est
+}
+
+thread_local! {
+    /// The [`MemoryEnv`] an estimate on this thread fills in place.
+    static ENV_SCRATCH: Cell<MemoryEnv> = Cell::new(MemoryEnv::default());
+}
+
+/// The workload of `kernel` at `size`, borrowed from a table built once
+/// per process when `size` is the kernel's [`sim_size`] (every estimate
+/// but the cluster model's shrunken domains).
+fn workload_at(kernel: KernelName, size: usize) -> Cow<'static, Workload> {
+    static SIM: OnceLock<[Workload; 64]> = OnceLock::new();
+    if size == sim_size(kernel) {
+        let table = SIM.get_or_init(|| KernelName::ALL.map(|k| workload(k, sim_size(k))));
+        Cow::Borrowed(&table[kernel as usize])
+    } else {
+        Cow::Owned(workload(kernel, size))
+    }
 }
 
 /// Every intermediate quantity of one estimate. [`estimate_sized`] and the
 /// [`crate::explain`] module both go through here, so the printed
 /// breakdown is always the arithmetic that produced the number.
 pub(crate) struct ModelParts {
-    pub w: Workload,
+    pub w: Cow<'static, Workload>,
     pub threads: usize,
     pub eff_t: f64,
     pub vec: VectorCtx,
@@ -235,15 +258,16 @@ pub(crate) fn model_parts(
 ) -> ModelParts {
     let cal = *cal;
     let threads = cfg.threads.clamp(1, machine.n_cores());
-    let w = workload(kernel, size);
-    let placement = cfg.placement.map(&machine.topology, threads);
+    let w = workload_at(kernel, size);
+    let occupancy = cfg.placement.occupancy(&machine.topology, threads);
     let eff_t = effective_threads(kernel, threads);
     let vec = resolve_vector(machine, kernel, &w, cfg);
 
     let iters_per_thread = w.iterations / eff_t;
     let compute = compute_seconds(machine, &cal, &w, &vec, iters_per_thread);
 
-    let env = MemoryEnv::new(machine, &placement);
+    let mut env = ENV_SCRATCH.take();
+    env.fill(machine, &occupancy);
     let elem_bytes = f64::from(cfg.precision.bytes());
     let memory = memory_seconds(
         machine,

@@ -13,12 +13,13 @@
 //!   super-linearly (Table 1's collapse).
 
 use crate::calibration::Calibration;
-use rvhpc_cachesim::analytic::{AccessSpec, Locality, TrafficModel};
+use rvhpc_cachesim::analytic::{AccessSpec, LevelTraffic, Locality, TrafficModel};
 use rvhpc_kernels::{Access, Workload};
-use rvhpc_machines::{CacheSharing, Machine, Placement};
+use rvhpc_machines::{CacheSharing, Machine, Occupancy, Placement};
+use std::cell::Cell;
 
 /// Resolved memory environment for one run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MemoryEnv {
     /// Per-thread capacity share at each cache level.
     pub capacity_shares: Vec<f64>,
@@ -33,43 +34,38 @@ pub struct MemoryEnv {
 impl MemoryEnv {
     /// Derive the environment from a machine and a placement.
     pub fn new(machine: &Machine, placement: &Placement) -> Self {
+        let mut env = MemoryEnv::default();
+        env.fill(machine, &placement.occupancy(&machine.topology));
+        env
+    }
+
+    /// Derive the environment in place from a placement's occupancy,
+    /// reusing this value's share buffers.
+    pub(crate) fn fill(&mut self, machine: &Machine, occupancy: &Occupancy) {
         let sharers = |sharing: CacheSharing| -> f64 {
             match sharing {
                 CacheSharing::PerCore => 1.0,
-                CacheSharing::PerCluster => placement.max_threads_per_cluster().max(1) as f64,
-                CacheSharing::Package => placement.n_threads().max(1) as f64,
+                CacheSharing::PerCluster => occupancy.max_threads_per_cluster.max(1) as f64,
+                CacheSharing::Package => occupancy.threads.max(1) as f64,
             }
         };
-        let capacity_shares =
-            machine.caches.iter().map(|c| c.size_bytes as f64 / sharers(c.sharing)).collect();
-        let bw_shares = machine
-            .caches
-            .iter()
-            .map(|c| {
-                // Private levels keep full bandwidth. Shared caches are
-                // banked: up to ~8 requesters stream from different banks
-                // at full speed and only beyond that does per-thread
-                // bandwidth divide — DRAM controllers, not the L2/L3
-                // fabrics, are where contention bites first on these parts.
-                let s = (sharers(c.sharing) / 8.0).max(1.0);
-                c.bandwidth_bytes_per_cycle / s
-            })
-            .collect();
+        self.capacity_shares.clear();
+        self.capacity_shares
+            .extend(machine.caches.iter().map(|c| c.size_bytes as f64 / sharers(c.sharing)));
+        self.bw_shares.clear();
+        self.bw_shares.extend(machine.caches.iter().map(|c| {
+            // Private levels keep full bandwidth. Shared caches are
+            // banked: up to ~8 requesters stream from different banks
+            // at full speed and only beyond that does per-thread
+            // bandwidth divide — DRAM controllers, not the L2/L3
+            // fabrics, are where contention bites first on these parts.
+            let s = (sharers(c.sharing) / 8.0).max(1.0);
+            c.bandwidth_bytes_per_cycle / s
+        }));
         // Busiest controller: threads in the fullest region divided over
         // that region's controllers.
-        let threads_per_controller = machine
-            .topology
-            .regions()
-            .iter()
-            .map(|r| placement.threads_per_region[r.id] as f64 / r.controllers as f64)
-            .fold(0.0f64, f64::max)
-            .max(1.0);
-        MemoryEnv {
-            capacity_shares,
-            bw_shares,
-            threads_per_controller,
-            line_bytes: machine.caches[0].line_bytes as f64,
-        }
+        self.threads_per_controller = occupancy.threads_per_controller.max(1.0);
+        self.line_bytes = machine.caches[0].line_bytes as f64;
     }
 }
 
@@ -133,29 +129,31 @@ pub fn memory_seconds(
     // Live streams compete for cache capacity: allot each stream a share
     // of every level proportional to its footprint (the LRU steady state
     // for concurrently swept arrays). Without this, two 40 MB arrays would
-    // each "fit" a 64 MB L3.
-    let specs: Vec<_> =
-        w.streams.iter().map(|s| to_access_spec(s, elem_bytes, effective_threads)).collect();
+    // each "fit" a 64 MB L3. The buffers come from this thread's scratch.
+    let mut scratch = SCRATCH.take();
+    let Scratch { specs, fetch, model, traffic } = &mut scratch;
+    specs.clear();
+    specs.extend(w.streams.iter().map(|s| to_access_spec(s, elem_bytes, effective_threads)));
     let total_footprint: f64 = specs.iter().map(|s| s.footprint_bytes).sum::<f64>().max(1.0);
 
     let mut requested = 0.0f64;
-    let mut fetch = vec![0.0f64; machine.caches.len()];
+    fetch.clear();
+    fetch.resize(machine.caches.len(), 0.0);
     let mut dram_wb = 0.0f64;
-    for spec in &specs {
+    model.line_bytes = env.line_bytes;
+    for spec in specs.iter() {
         let share = spec.footprint_bytes / total_footprint;
-        let caps: Vec<f64> = env.capacity_shares.iter().map(|c| c * share).collect();
-        // Steady-state accounting: the paper measures repetitions over
-        // resident arrays, so one-off cold fills amortise away.
-        let model = TrafficModel::new(caps, env.line_bytes).steady_state();
-        let t = model.traffic(spec);
-        requested += t.requested_bytes;
-        for (acc, f) in fetch.iter_mut().zip(&t.fetch_bytes) {
+        model.level_capacities.clear();
+        model.level_capacities.extend(env.capacity_shares.iter().map(|c| c * share));
+        model.traffic_into(spec, traffic);
+        requested += traffic.requested_bytes;
+        for (acc, f) in fetch.iter_mut().zip(&traffic.fetch_bytes) {
             *acc += f;
         }
         // Scalar stores pay write-allocate read-for-ownership without the
         // write-combining that vector/streaming stores get.
         let wb_factor = if vectored { 1.0 } else { cal.scalar_store_penalty };
-        dram_wb += t.dram_writeback_bytes * wb_factor;
+        dram_wb += traffic.dram_writeback_bytes * wb_factor;
     }
 
     // The hierarchy pipelines: an L2→L1 fill overlaps the L3→L2 fill of
@@ -208,7 +206,38 @@ pub fn memory_seconds(
             (dram_bytes / env.line_bytes) * machine.memory.dram_latency_ns * 1e-9 / cal.mlp;
         time = time.max(bw_time.max(lat_time) * queue_mult);
     }
+    SCRATCH.set(scratch);
     time
+}
+
+/// The buffers [`memory_seconds`] refills on every call, kept per thread
+/// so that a warm estimate allocates nothing.
+struct Scratch {
+    specs: Vec<AccessSpec>,
+    fetch: Vec<f64>,
+    model: TrafficModel,
+    traffic: LevelTraffic,
+}
+
+impl Default for Scratch {
+    fn default() -> Self {
+        Scratch {
+            specs: Vec::new(),
+            fetch: Vec::new(),
+            // Steady-state accounting: the paper measures repetitions over
+            // resident arrays, so one-off cold fills amortise away.
+            model: TrafficModel {
+                level_capacities: Vec::new(),
+                line_bytes: 0.0,
+                steady_state: true,
+            },
+            traffic: LevelTraffic::default(),
+        }
+    }
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
 }
 
 #[cfg(test)]

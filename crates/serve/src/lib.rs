@@ -15,10 +15,10 @@
 //!   the connection (the 429 pattern).
 //! * **Batching** — a dedicated, work-conserving batcher thread takes every
 //!   estimate request already queued (never waiting for more), deduplicates
-//!   identical queries, and fans the unique ones out through the process-wide
-//!   [`rvhpc_threads::global_team`] work-stealing pool onto
-//!   [`rvhpc_perfmodel::estimate_cached`], so concurrent clients share both
-//!   the thread pool and the cross-sweep estimate cache.
+//!   identical queries, and computes the unique ones itself through
+//!   [`rvhpc_perfmodel::estimate_cached`], so concurrent clients share the
+//!   cross-sweep estimate cache. A cached estimate costs about a
+//!   microsecond and a cold one a few, less than waking a pool would.
 //! * **Deadlines** — a request may carry `deadline_ms`; work whose deadline
 //!   has already passed when its batch is assembled is answered with
 //!   `deadline_exceeded` and never computed (admission-time cancellation).

@@ -10,8 +10,8 @@
 //!                                                          │
 //!                                    batcher ◀─────────────┘
 //!                                    take ≤ batch_max already queued,
-//!                                    dedupe, fan out via global_team
-//!                                    work-stealing onto estimate_cached,
+//!                                    dedupe, estimate_cached each unique
+//!                                    query on the batcher thread,
 //!                                    write each reply to its connection
 //! ```
 //!
@@ -31,7 +31,6 @@ use rvhpc_kernels::{KernelClass, KernelName};
 use rvhpc_machines::{machine, MachineId};
 use rvhpc_obs::snapshot::{SnapshotRing, DEFAULT_SNAPSHOT_CAP};
 use rvhpc_perfmodel::{cache, estimate_cached, explain, RunConfig};
-use rvhpc_threads::global_team;
 use rvhpc_trace::json::Json;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Write};
@@ -41,6 +40,11 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Admitted requests not yet taken by the batcher, set per item.
+static QUEUE_DEPTH: rvhpc_obs::Gauge = rvhpc_obs::Gauge::new("serve.queue_depth");
+/// 1 while the batcher runs a batch, set per batch.
+static INFLIGHT_BATCHES: rvhpc_obs::Gauge = rvhpc_obs::Gauge::new("serve.inflight_batches");
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -475,14 +479,9 @@ impl Server {
         // Arm the SLO tracker and pre-register every gauge so the very
         // first `metrics` reply already carries the full gauge set.
         rvhpc_obs::slo().set_threshold_ms(config.slo_ms);
-        for name in [
-            "serve.queue_depth",
-            "serve.inflight_batches",
-            "threads.worksteal.backlog",
-            "perfmodel.estimate_cache.entries",
-        ] {
-            rvhpc_obs::gauge(name);
-        }
+        QUEUE_DEPTH.get();
+        INFLIGHT_BATCHES.get();
+        rvhpc_obs::gauge("perfmodel.estimate_cache.entries");
         rvhpc_obs::gauge_set("perfmodel.estimate_cache.entries", cache::len() as i64);
         let shared = Arc::new(Shared {
             config,
@@ -613,10 +612,7 @@ fn listener_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 /// stale: queue depth (otherwise only touched on admit/pop) and cache
 /// occupancy (otherwise only touched on inserts).
 fn refresh_gauges(shared: &Arc<Shared>) {
-    rvhpc_obs::gauge_set(
-        "serve.queue_depth",
-        shared.stats.queue_depth.load(Ordering::SeqCst) as i64,
-    );
+    QUEUE_DEPTH.set(shared.stats.queue_depth.load(Ordering::SeqCst) as i64);
     rvhpc_obs::gauge_set("perfmodel.estimate_cache.entries", cache::len() as i64);
 }
 
@@ -959,7 +955,7 @@ fn admit(
         Ok(()) => {
             shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
             shared.stages.admission.record_us(admission_us);
-            rvhpc_obs::gauge_set("serve.queue_depth", depth as i64);
+            QUEUE_DEPTH.set(depth as i64);
             rvhpc_trace::histogram!("serve.queue_depth", depth as f64);
         }
         Err(TrySendError::Full(item)) => {
@@ -1013,7 +1009,7 @@ fn batcher_loop(shared: &Arc<Shared>, queue_rx: &Receiver<WorkItem>) {
     let pop = |mut item: WorkItem| {
         item.popped = Instant::now();
         let depth = shared.stats.queue_depth.fetch_sub(1, Ordering::SeqCst) - 1;
-        rvhpc_obs::gauge_set("serve.queue_depth", depth as i64);
+        QUEUE_DEPTH.set(depth as i64);
         item
     };
     loop {
@@ -1032,9 +1028,9 @@ fn batcher_loop(shared: &Arc<Shared>, queue_rx: &Receiver<WorkItem>) {
         // Never wait for companions: a lone request would wait with them.
         let mut batch = vec![first];
         batch.extend(queue_rx.try_iter().take(shared.config.batch_max - 1).map(pop));
-        rvhpc_obs::gauge_set("serve.inflight_batches", 1);
+        INFLIGHT_BATCHES.set(1);
         process_batch(shared, batch);
-        rvhpc_obs::gauge_set("serve.inflight_batches", 0);
+        INFLIGHT_BATCHES.set(0);
     }
     shared.batcher_done.store(true, Ordering::SeqCst);
 }
@@ -1049,7 +1045,7 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
 
     // Partition: expired deadlines are cancelled unexecuted; sleeps run
     // inline on the batcher (they exist to simulate a slow model and make
-    // backpressure observable); estimates are deduped and fanned out.
+    // backpressure observable); estimates are deduped.
     // `exec_start` closes the batch-assembly stage for every item.
     let mut estimates: Vec<(EstKey, WorkItem)> = Vec::new();
     let exec_start = Instant::now();
@@ -1096,38 +1092,24 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
         return;
     }
 
-    // Dedup to unique queries, compute those through the shared pool, then
-    // answer every request (duplicates share one computation).
-    let mut unique: Vec<(EstKey, MachineId, KernelName, RunConfig)> = Vec::new();
+    // Dedup to unique queries, compute those on this thread, then answer
+    // every request (duplicates share one computation).
+    let mut unique: Vec<(MachineId, KernelName, RunConfig)> = Vec::new();
     let mut index_of: HashMap<EstKey, usize> = HashMap::new();
     for (key, item) in &estimates {
         if let WorkKind::Estimate { machine, kernel, cfg } = &item.kind {
             index_of.entry(*key).or_insert_with(|| {
-                unique.push((*key, *machine, *kernel, *cfg));
+                unique.push((*machine, *kernel, *cfg));
                 unique.len() - 1
             });
         }
     }
-    let slots: Vec<Mutex<Option<rvhpc_perfmodel::TimeEstimate>>> =
-        (0..unique.len()).map(|_| Mutex::new(None)).collect();
     let compute_start = Instant::now();
-    let compute = |i: usize| {
-        let (_, m, kernel, cfg) = unique[i];
-        let est = estimate_cached(&machine(m), kernel, &cfg);
-        *slots[i].lock().expect("slot poisoned") = Some(est);
-    };
-    if unique.len() == 1 {
-        compute(0);
-    } else {
-        global_team().parallel_for_worksteal(0..unique.len(), compute);
-    }
-    // The batch computes as one fan-out, so every member shares the same
+    let results: Vec<rvhpc_perfmodel::TimeEstimate> =
+        unique.iter().map(|(m, kernel, cfg)| estimate_cached(&machine(*m), *kernel, cfg)).collect();
+    // The batch computes as one unit, so every member shares the same
     // compute-stage duration (that *is* the latency the batch added).
     let compute_us = us(compute_start.elapsed());
-    let results: Vec<rvhpc_perfmodel::TimeEstimate> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot poisoned").expect("estimate computed"))
-        .collect();
     for (key, item) in estimates {
         let est = results[index_of[&key]];
         shared.stats.completed.fetch_add(1, Ordering::Relaxed);

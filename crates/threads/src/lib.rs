@@ -13,21 +13,21 @@
 //! * [`schedule`] — OpenMP-style static chunking,
 //! * [`Team::parallel_for`] / [`Team::parallel_reduce`] — the worksharing
 //!   constructs the kernels use,
-//! * [`global_team`] — the process-wide shared pool that sweep fan-outs
-//!   amortise instead of respawning a team per sweep, with
+//! * [`global_team`] — a process-wide shared pool, with
 //!   [`Team::parallel_for_worksteal`] (backed by [`worksteal::WorkQueues`])
-//!   for irregular estimator work; kernel paths stay on static chunks.
+//!   for irregular work. The estimator sweeps do not use it: a 64-kernel
+//!   suite costs less than a pool wake-up and join, so suites and serve
+//!   batches are computed on the calling thread.
 //!
 //! The pool never oversubscribes and the team shape is immutable after
 //! construction, mirroring `OMP_NUM_THREADS` + `OMP_PROC_BIND=true`.
-//! A [`Team`] does not pin its threads (the *simulated* machines are where
-//! placement matters); the logical core id of each thread is recorded and
-//! exposed so the performance model can reason about it. Only the
-//! [`global_team`] binds its workers to host CPUs, one per CPU.
+//! A [`Team`] does not pin its threads to host CPUs (the *simulated*
+//! machines are where placement matters); the logical core id of each
+//! thread is recorded and exposed so the performance model can reason
+//! about it.
 
 #![warn(missing_docs)]
 
-mod affinity;
 pub mod barrier;
 pub mod pool;
 pub mod schedule;

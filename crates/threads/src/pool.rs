@@ -8,7 +8,6 @@
 //! does not return until every worker has finished with it (the same
 //! lifetime-erasure technique used by scoped thread pools).
 
-use crate::affinity;
 use crate::barrier::{BarrierToken, SpinBarrier};
 use crate::schedule::static_chunk;
 use crate::worksteal::WorkQueues;
@@ -102,28 +101,13 @@ pub struct Team {
 }
 
 /// The process-wide shared team, created lazily at first use and sized to
-/// the host's available parallelism. Sweep fan-outs (the estimator, the
-/// experiment driver) share this pool instead of spawning and tearing down
-/// a private `Team` per call; `Team::run` serialises concurrent dispatchers,
-/// so interleaved sweeps queue rather than oversubscribe.
-///
-/// When the team has exactly one worker per CPU the process may run on,
-/// worker `i` is bound to the `i`-th of those CPUs (module `affinity`), so
-/// two workers never share a CPU while another idles. Under a CPU quota
-/// smaller than that set, placement is left to the scheduler.
+/// the host's available parallelism, for callers that want a pool without
+/// spawning a private `Team`; `Team::run` serialises concurrent
+/// dispatchers, so interleaved users queue rather than oversubscribe.
+/// The estimator sweeps run on their calling thread and do not use it.
 pub fn global_team() -> &'static Team {
     static TEAM: OnceLock<Team> = OnceLock::new();
-    TEAM.get_or_init(|| {
-        let lanes = std::thread::available_parallelism().map_or(4, |n| n.get());
-        let team = Team::new(lanes);
-        let cpus = affinity::allowed_cpus();
-        if cpus.len() == lanes {
-            team.run(|ctx| {
-                affinity::bind_current_thread(cpus[ctx.tid()]);
-            });
-        }
-        team
-    })
+    TEAM.get_or_init(|| Team::new(std::thread::available_parallelism().map_or(4, |n| n.get())))
 }
 
 impl Team {
@@ -270,8 +254,8 @@ impl Team {
     /// Worksharing loop with a work-stealing handout: apply `f(i)` for
     /// every `i` in `range` exactly once, but let idle threads steal from
     /// busy ones instead of waiting at the join. Use for irregular
-    /// fan-outs (the estimator sweep); kernel paths stay on the
-    /// OpenMP-faithful [`Team::parallel_for`]. Handout order is not
+    /// fan-outs whose items outweigh a pool wake-up; kernel paths stay on
+    /// the OpenMP-faithful [`Team::parallel_for`]. Handout order is not
     /// deterministic — write results into per-index slots.
     pub fn parallel_for_worksteal<F>(&self, range: Range<usize>, f: F)
     where
@@ -552,8 +536,7 @@ mod tests {
 
     #[test]
     fn worksteal_panic_propagates_with_payload() {
-        // The serving layer fans batched estimates out through
-        // parallel_for_worksteal; a panic in one body function must reach
+        // A panic in one parallel_for_worksteal body function must reach
         // the caller with its payload intact, exactly as Team::run does.
         let team = Team::new(4);
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -620,21 +603,6 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), global_team().n_threads());
-    }
-
-    #[test]
-    fn global_team_binds_one_worker_per_allowed_cpu() {
-        let team = global_team();
-        let masks = Mutex::new(vec![Vec::new(); team.n_threads()]);
-        team.run(|ctx| masks.lock().unwrap()[ctx.tid()] = affinity::allowed_cpus());
-        let masks = masks.into_inner().unwrap();
-        let cpus = affinity::allowed_cpus();
-        if cfg!(target_os = "linux") && cpus.len() == team.n_threads() {
-            let bound: Vec<Vec<usize>> = cpus.iter().map(|&cpu| vec![cpu]).collect();
-            assert_eq!(masks, bound, "worker i runs on the i-th allowed CPU only");
-        } else {
-            assert!(masks.iter().all(|m| *m == cpus), "unbound workers: {masks:?}");
-        }
     }
 
     #[test]
